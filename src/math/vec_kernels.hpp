@@ -170,6 +170,30 @@ class BatchWideTerm
     ad::Tape* tape_ = nullptr;
 };
 
+/**
+ * The logistic quantities of one logit x from a single exp and log1p:
+ * each field is bitwise equal to the named special-function call, so
+ * the binomial kernels see exactly the per-cell terms of the scalar
+ * path at half the transcendental cost.
+ */
+struct Logistic
+{
+    double softplus;    ///< log1pExp(x)  = -log(1 - invLogit(x))
+    double softplusNeg; ///< log1pExp(-x) = -log invLogit(x)
+    double p;           ///< invLogit(x)
+    double q;           ///< invLogit(-x) = 1 - p without cancellation
+};
+
+inline Logistic
+logistic(double x)
+{
+    const double e = std::exp(-std::fabs(x));
+    const double l = std::log1p(e);
+    if (x > 0.0)
+        return {x + l, l, 1.0 / (1.0 + e), e / (1.0 + e)};
+    return {l, -x + l, e / (1.0 + e), 1.0 / (1.0 + e)};
+}
+
 } // namespace detail
 
 // ---------------------------------------------------------------------
@@ -416,50 +440,73 @@ neg_binomial_2_lpmf_vec(std::span<const long> ys, const TMu& mu,
 // ---------------------------------------------------------------------
 
 /**
- * Bernoulli-logit GLM: sum of bernoulli_logit_lpmf(y_i, alpha + x_i·β)
- * over rows of the row-major n×K design matrix @p x. Residuals
- * r_i = y_i - invLogit(eta_i) give ∂α = Σ r_i and ∂β_k = Σ r_i x_ik.
+ * Bernoulli-logit GLM with optional varying intercepts: sum of
+ * bernoulli_logit_lpmf(y_i, alpha_{g_i} + x_i·β) over rows of the
+ * row-major n×K design matrix @p x.
+ * @param group  per-row intercept index; empty means alphas[0] for all
+ * Residuals r_i = y_i - invLogit(eta_i) give ∂α_g = Σ_{i: g_i=g} r_i
+ * and ∂β_k = Σ r_i x_ik. A group with no rows gets a zero edge.
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
 bernoulli_logit_glm_lpmf(std::span<const int> ys,
-                         std::span<const double> x, const TAlpha& alpha,
+                         std::span<const double> x,
+                         std::span<const int> group,
+                         std::span<const TAlpha> alphas,
                          std::span<const TBeta> betas)
 {
     using R = promote_t<TAlpha, TBeta>;
     const std::size_t n = ys.size();
     const std::size_t numK = betas.size();
     BAYES_ASSERT(x.size() == n * numK);
-    const double alphaV = valueOf(alpha);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
+    const std::vector<double> alphaV = detail::values(alphas);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
-    double dAlpha = 0.0;
-    std::vector<double> dBeta;
-    if constexpr (std::is_same_v<R, ad::Var>)
+    std::vector<double> dAlpha, dBeta;
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        dAlpha.assign(alphas.size(), 0.0);
         dBeta.assign(numK, 0.0);
+    }
     for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g =
+            group.empty() ? 0 : static_cast<std::size_t>(group[i]);
         const double* row = x.data() + i * numK;
-        double eta = alphaV;
+        double eta = alphaV[g];
         for (std::size_t k = 0; k < numK; ++k)
             eta += betaV[k] * row[k];
         value += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
         if constexpr (std::is_same_v<R, ad::Var>) {
             const double r = static_cast<double>(ys[i]) - invLogit(eta);
-            dAlpha += r;
+            dAlpha[g] += r;
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += r * row[k];
         }
     }
     if constexpr (std::is_same_v<R, ad::Var>) {
         detail::WideTerm t;
-        t.reserve(numK + 1);
-        t.edge(alpha, dAlpha);
+        t.reserve(alphas.size() + numK);
+        for (std::size_t g = 0; g < alphas.size(); ++g)
+            t.edge(alphas[g], dAlpha[g]);
         for (std::size_t k = 0; k < numK; ++k)
             t.edge(betas[k], dBeta[k]);
         return t.emit(value);
     } else {
         return value;
     }
+}
+
+/** Bernoulli-logit GLM with one shared intercept @p alpha. */
+template <typename TAlpha, typename TBeta>
+promote_t<TAlpha, TBeta>
+bernoulli_logit_glm_lpmf(std::span<const int> ys,
+                         std::span<const double> x, const TAlpha& alpha,
+                         std::span<const TBeta> betas)
+{
+    return bernoulli_logit_glm_lpmf(ys, x, std::span<const int>(),
+                                    std::span<const TAlpha>(&alpha, 1),
+                                    betas);
 }
 
 /**
@@ -527,39 +574,49 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
 }
 
 /**
- * Normal identity-link GLM: sum of normal_lpdf(y_i, alpha + x_i·β,
- * sigma). With z_i = (y_i - mu_i)/sigma: ∂α = Σ z_i/σ, ∂β_k = Σ z_i
- * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ.
+ * Normal identity-link GLM with optional varying intercepts: sum of
+ * normal_lpdf(y_i, alpha_{g_i} + x_i·β, sigma).
+ * @param group  per-row intercept index; empty means alphas[0] for all
+ * With z_i = (y_i - mu_i)/sigma: ∂α_g = Σ_{i: g_i=g} z_i/σ, ∂β_k = Σ
+ * z_i x_ik/σ, ∂σ = Σ (z_i² - 1)/σ. A group with no rows gets a zero
+ * edge.
  */
 template <typename TAlpha, typename TBeta, typename TSigma>
 promote_t<TAlpha, TBeta, TSigma>
 normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
-                   const TAlpha& alpha, std::span<const TBeta> betas,
-                   const TSigma& sigma)
+                   std::span<const int> group,
+                   std::span<const TAlpha> alphas,
+                   std::span<const TBeta> betas, const TSigma& sigma)
 {
     using R = promote_t<TAlpha, TBeta, TSigma>;
     const std::size_t n = ys.size();
     const std::size_t numK = betas.size();
     BAYES_ASSERT(x.size() == n * numK);
-    const double alphaV = valueOf(alpha);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
     const double inv = 1.0 / valueOf(sigma);
     const double logSigma = std::log(valueOf(sigma));
+    const std::vector<double> alphaV = detail::values(alphas);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
-    double dAlpha = 0.0, dSigma = 0.0;
-    std::vector<double> dBeta;
-    if constexpr (std::is_same_v<R, ad::Var>)
+    double dSigma = 0.0;
+    std::vector<double> dAlpha, dBeta;
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        dAlpha.assign(alphas.size(), 0.0);
         dBeta.assign(numK, 0.0);
+    }
     for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g =
+            group.empty() ? 0 : static_cast<std::size_t>(group[i]);
         const double* row = x.data() + i * numK;
-        double mu = alphaV;
+        double mu = alphaV[g];
         for (std::size_t k = 0; k < numK; ++k)
             mu += betaV[k] * row[k];
         const double z = (ys[i] - mu) * inv;
         value += -0.5 * z * z - logSigma - kLogSqrtTwoPi;
         if constexpr (std::is_same_v<R, ad::Var>) {
             const double rs = z * inv;
-            dAlpha += rs;
+            dAlpha[g] += rs;
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += rs * row[k];
             dSigma += (z * z - 1.0) * inv;
@@ -567,8 +624,9 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
     }
     if constexpr (std::is_same_v<R, ad::Var>) {
         detail::WideTerm t;
-        t.reserve(numK + 2);
-        t.edge(alpha, dAlpha);
+        t.reserve(alphas.size() + numK + 1);
+        for (std::size_t g = 0; g < alphas.size(); ++g)
+            t.edge(alphas[g], dAlpha[g]);
         for (std::size_t k = 0; k < numK; ++k)
             t.edge(betas[k], dBeta[k]);
         t.edge(sigma, dSigma);
@@ -576,6 +634,18 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
     } else {
         return value;
     }
+}
+
+/** Normal identity-link GLM with one shared intercept @p alpha. */
+template <typename TAlpha, typename TBeta, typename TSigma>
+promote_t<TAlpha, TBeta, TSigma>
+normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
+                   const TAlpha& alpha, std::span<const TBeta> betas,
+                   const TSigma& sigma)
+{
+    return normal_id_glm_lpdf(ys, x, std::span<const int>(),
+                              std::span<const TAlpha>(&alpha, 1), betas,
+                              sigma);
 }
 
 /**
@@ -629,6 +699,147 @@ bernoulli_logit_scaled_glm_lpmf(std::span<const int> ys,
     } else {
         return value;
     }
+}
+
+// ---------------------------------------------------------------------
+// Binomial-logit kernels over aggregated counts
+// ---------------------------------------------------------------------
+
+/**
+ * Σ lchoose(n_i, y_i): the data-only normalizer of
+ * binomial_logit_lpmf_vec. It costs three lgamma calls per cell, so
+ * callers with fixed data compute it once, not per evaluation.
+ */
+inline double
+binomial_lchoose_sum(std::span<const long> ys, std::span<const long> ns)
+{
+    BAYES_ASSERT(ys.size() == ns.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < ys.size(); ++i)
+        sum += lchoose(static_cast<double>(ns[i]),
+                       static_cast<double>(ys[i]));
+    return sum;
+}
+
+/**
+ * Sum of binomial_logit_lpmf(y_i | n_i, eta_i) over cells, each with
+ * its own logit: lchooseSum - Σ [y_i log1pExp(-eta_i) + (n_i - y_i)
+ * log1pExp(eta_i)], with ∂eta_i = y_i - n_i invLogit(eta_i).
+ * A cell with n_i == 0 contributes nothing and records no edge.
+ * @param lchooseSum  binomial_lchoose_sum(ys, ns)
+ */
+template <typename TEta>
+promote_t<TEta>
+binomial_logit_lpmf_vec(std::span<const long> ys, std::span<const long> ns,
+                        std::span<const TEta> etas, double lchooseSum)
+{
+    using R = promote_t<TEta>;
+    BAYES_ASSERT(ys.size() == ns.size() && ys.size() == etas.size());
+    detail::WideTerm t;
+    if constexpr (std::is_same_v<R, ad::Var>)
+        t.reserve(etas.size());
+    double value = lchooseSum;
+    for (std::size_t i = 0; i < ys.size(); ++i) {
+        if (ns[i] == 0)
+            continue;
+        const double ky = static_cast<double>(ys[i]);
+        const double ny = static_cast<double>(ns[i]);
+        const detail::Logistic l = detail::logistic(valueOf(etas[i]));
+        value += -ky * l.softplusNeg - (ny - ky) * l.softplus;
+        if constexpr (std::is_same_v<R, ad::Var>)
+            t.edge(etas[i], ky * l.q - (ny - ky) * l.p);
+    }
+    if constexpr (std::is_same_v<R, ad::Var>)
+        return t.emit(value);
+    else
+        return value;
+}
+
+/**
+ * Zero-inflated (occupancy) binomial-logit likelihood of a species ×
+ * site detection table, in closed form from per-species histograms.
+ * Species s occupies a site with probability psi_s = invLogit(occ_s)
+ * and, where present, is detected on each of @p trials visits with
+ * probability p_s = invLogit(det_s). A site with c > 0 detections
+ * implies presence and contributes log psi_s + binomial_logit_lpmf(c |
+ * trials, det_s); a site with none mixes occupied-but-missed and
+ * absent: logSumExp(log psi_s + trials·log(1 - p_s), log(1 - psi_s)).
+ * Sites with the same count contribute the same term, so each species
+ * costs one pass over its trials + 1 histogram bins and two edges
+ * (occ_s, det_s), whatever the number of sites.
+ * @param hist  row-major [species][c]: sites with c detections,
+ *              c = 0..trials
+ */
+template <typename TOcc, typename TDet>
+promote_t<TOcc, TDet>
+occupancy_binomial_logit_lpmf_vec(std::span<const long> hist, long trials,
+                                  std::span<const TOcc> occ,
+                                  std::span<const TDet> det)
+{
+    using R = promote_t<TOcc, TDet>;
+    BAYES_ASSERT(trials >= 0 && det.size() == occ.size());
+    const std::size_t numS = occ.size();
+    const std::size_t bins = static_cast<std::size_t>(trials) + 1;
+    BAYES_ASSERT(hist.size() == numS * bins);
+    const double nT = static_cast<double>(trials);
+    std::vector<double> lc(bins);
+    for (std::size_t c = 0; c < bins; ++c)
+        lc[c] = lchoose(nT, static_cast<double>(c));
+    detail::WideTerm t;
+    if constexpr (std::is_same_v<R, ad::Var>)
+        t.reserve(2 * numS);
+    double value = 0.0;
+    for (std::size_t s = 0; s < numS; ++s) {
+        const long* h = hist.data() + s * bins;
+        double nPos = 0.0, sumC = 0.0, lcSum = 0.0;
+        for (std::size_t c = 1; c < bins; ++c) {
+            const double hc = static_cast<double>(h[c]);
+            nPos += hc;
+            sumC += static_cast<double>(c) * hc;
+            lcSum += hc * lc[c];
+        }
+        const double n0 = static_cast<double>(h[0]);
+        const detail::Logistic o = detail::logistic(valueOf(occ[s]));
+        const detail::Logistic d = detail::logistic(valueOf(det[s]));
+        const double logPsi = -o.softplusNeg;
+        // Detected sites: log psi + Σ_c h_c binomial_logit_lpmf(c | T, det).
+        value += nPos * logPsi + lcSum - sumC * d.softplusNeg
+            - (nPos * nT - sumC) * d.softplus;
+        double dOcc = nPos * o.q;
+        double dDet = sumC * d.q - (nPos * nT - sumC) * d.p;
+        if (n0 > 0.0) {
+            // Undetected sites: m = logSumExp(a, b) with a = log psi +
+            // log(1 - p)^T and b = log(1 - psi), in the max-shifted
+            // form of the scalar logSumExp. The mixture weights wA =
+            // exp(a - m) and wB = exp(b - m) give ∂occ = wA (1 - psi) -
+            // wB psi and ∂det = -wA T p.
+            const double a = logPsi + lc[0] - nT * d.softplus;
+            const double b = -o.softplus;
+            double m = 0.0, wA = 0.0, wB = 0.0;
+            if (a > b) {
+                const detail::Logistic w = detail::logistic(b - a);
+                m = a + w.softplus;
+                wA = w.q;
+                wB = w.p;
+            } else {
+                const detail::Logistic w = detail::logistic(a - b);
+                m = b + w.softplus;
+                wA = w.p;
+                wB = w.q;
+            }
+            value += n0 * m;
+            dOcc += n0 * (wA * o.q - wB * o.p);
+            dDet -= n0 * wA * nT * d.p;
+        }
+        if constexpr (std::is_same_v<R, ad::Var>) {
+            t.edge(occ[s], dOcc);
+            t.edge(det[s], dDet);
+        }
+    }
+    if constexpr (std::is_same_v<R, ad::Var>)
+        return t.emit(value);
+    else
+        return value;
 }
 
 // ---------------------------------------------------------------------

@@ -56,7 +56,7 @@ LoadGenerator::schedule() const
 std::vector<TenantSpec>
 defaultTenantMix()
 {
-    // Small sampler configs on the six fused-kernel workloads: the
+    // Small sampler configs on six of the fused-kernel workloads: the
     // bench pushes thousands of these, so each one is a sub-second job.
     samplers::Config quickMh;
     quickMh.algorithm = samplers::Algorithm::Mh;

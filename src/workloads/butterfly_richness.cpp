@@ -1,8 +1,10 @@
 #include "workloads/butterfly_richness.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "math/distributions.hpp"
+#include "math/vec_kernels.hpp"
 
 namespace bayes::workloads {
 
@@ -38,6 +40,14 @@ ButterflyRichness::ButterflyRichness(double dataScale)
         }
     }
 
+    const std::size_t bins = static_cast<std::size_t>(visits_) + 1;
+    detectionHist_.assign(numSpecies_ * bins, 0);
+    for (std::size_t s = 0; s < numSpecies_; ++s)
+        for (std::size_t j = 0; j < numSites_; ++j)
+            ++detectionHist_[s * bins
+                             + static_cast<std::size_t>(
+                                 detections_[s * numSites_ + j])];
+
     setModeledDataBytes(detections_.size() * sizeof(long));
 
     setLayout({
@@ -62,11 +72,33 @@ ButterflyRichness::logDensity(const ppl::ParamView<T>& p) const
 
     T lp = normal_lpdf(muOcc, 0.0, 1.5) + normal_lpdf(sigmaOcc, 0.0, 1.0)
         + normal_lpdf(muDet, 0.0, 1.5) + normal_lpdf(sigmaDet, 0.0, 1.0);
+    lp += normal_lpdf_vec(p.block(kOcc), muOcc, sigmaOcc);
+    lp += normal_lpdf_vec(p.block(kDet), muDet, sigmaDet);
+    // The occupancy mixture depends on a site only through its count, so
+    // the per-species histograms carry the whole likelihood.
+    lp += occupancy_binomial_logit_lpmf_vec(
+        std::span<const long>(detectionHist_), visits_, p.block(kOcc),
+        p.block(kDet));
+    return lp;
+}
+
+template <typename T>
+T
+ButterflyRichness::logDensityScalar(const ppl::ParamView<T>& p) const
+{
+    using namespace bayes::math;
+    const T& muOcc = p.scalar(kMuOcc);
+    const T& sigmaOcc = p.scalar(kSigmaOcc);
+    const T& muDet = p.scalar(kMuDet);
+    const T& sigmaDet = p.scalar(kSigmaDet);
+
+    T lp = normal_lpdf(muOcc, 0.0, 1.5) + normal_lpdf(sigmaOcc, 0.0, 1.0)
+        + normal_lpdf(muDet, 0.0, 1.5) + normal_lpdf(sigmaDet, 0.0, 1.0);
 
     for (std::size_t s = 0; s < numSpecies_; ++s) {
-        // bayes-lint: allow(R007): small species count; occupancy terms dominate
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += normal_lpdf(p.at(kOcc, s), muOcc, sigmaOcc);
-        // bayes-lint: allow(R007): small species count; occupancy terms dominate
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += normal_lpdf(p.at(kDet, s), muDet, sigmaDet);
     }
 
@@ -78,7 +110,7 @@ ButterflyRichness::logDensity(const ppl::ParamView<T>& p) const
         const T logOneMinusPsi = -log1pExp(occEff);
         for (std::size_t j = 0; j < numSites_; ++j) {
             const long x = detections_[s * numSites_ + j];
-            // bayes-lint: allow(R007): per-site logSumExp mixture cannot fuse
+            // bayes-lint: allow(R007): retained scalar twin; fused path above
             const T detLp = binomial_logit_lpmf(x, visits_, detEff);
             if (x > 0) {
                 // A detection implies occupancy.
@@ -102,6 +134,18 @@ ad::Var
 ButterflyRichness::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
+}
+
+double
+ButterflyRichness::logProbScalar(const ppl::ParamView<double>& p) const
+{
+    return logDensityScalar(p);
+}
+
+ad::Var
+ButterflyRichness::logProbScalar(const ppl::ParamView<ad::Var>& p) const
+{
+    return logDensityScalar(p);
 }
 
 } // namespace bayes::workloads

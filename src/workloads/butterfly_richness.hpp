@@ -25,6 +25,8 @@ class ButterflyRichness : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    double logProbScalar(const ppl::ParamView<double>& p) const override;
+    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of species in the augmented pool. */
     std::size_t numSpecies() const { return numSpecies_; }
@@ -49,11 +51,16 @@ class ButterflyRichness : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
+    template <typename T>
+    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numSpecies_;
     std::size_t numSites_;
     long visits_;
     std::vector<long> detections_; ///< [species * sites + site]
+    /** Fused-path histogram [species * (visits + 1) + c]: sites with c
+     *  detections, built once in the constructor. */
+    std::vector<long> detectionHist_;
 };
 
 } // namespace bayes::workloads

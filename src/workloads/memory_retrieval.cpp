@@ -1,8 +1,10 @@
 #include "workloads/memory_retrieval.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "math/distributions.hpp"
+#include "math/vec_kernels.hpp"
 
 namespace bayes::workloads {
 
@@ -45,6 +47,14 @@ MemoryRetrieval::MemoryRetrieval(double dataScale)
         }
     }
 
+    for (std::size_t i = 0; i < rt_.size(); ++i) {
+        negLoad_.push_back(-load_[i]);
+        latDesign_.push_back(load_[i]);
+        latDesign_.push_back(static_cast<double>(accuracy_[i]));
+        logRt_.push_back(std::log(rt_[i]));
+        logRtSum_ += logRt_.back();
+    }
+
     setModeledDataBytes(subject_.size() * sizeof(int)
                         + accuracy_.size() * sizeof(int)
                         + (load_.size() + rt_.size()) * sizeof(double));
@@ -72,6 +82,48 @@ MemoryRetrieval::logDensity(const ppl::ParamView<T>& p) const
     const T& betaLoad = p.scalar(kBetaLoad);
     const T& sigmaU = p.scalar(kSigmaU);
     const T& muRt = p.scalar(kMuRt);
+    const T& sigmaV = p.scalar(kSigmaV);
+    const T& sigmaRt = p.scalar(kSigmaRt);
+
+    T lp = normal_lpdf(alpha, 0.0, 2.0) + normal_lpdf(betaLoad, 0.0, 1.0)
+        + normal_lpdf(sigmaU, 0.0, 1.0) + normal_lpdf(muRt, 6.0, 1.0)
+        + normal_lpdf(p.scalar(kGammaLoad), 0.0, 0.5)
+        + normal_lpdf(p.scalar(kDeltaAcc), 0.0, 0.5)
+        + normal_lpdf(sigmaV, 0.0, 1.0) + normal_lpdf(sigmaRt, 0.0, 1.0);
+    lp += std_normal_lpdf_vec(p.block(kU));
+    lp += std_normal_lpdf_vec(p.block(kV));
+
+    // Non-centered random effects folded into per-subject intercepts,
+    // so each likelihood layer is one grouped GLM pass over the trials.
+    std::vector<T> accIntercept(numSubjects_), latIntercept(numSubjects_);
+    for (std::size_t s = 0; s < numSubjects_; ++s) {
+        accIntercept[s] = alpha + sigmaU * p.at(kU, s);
+        latIntercept[s] = muRt + sigmaV * p.at(kV, s);
+    }
+    const std::span<const int> group(subject_);
+    lp += bernoulli_logit_glm_lpmf(std::span<const int>(accuracy_),
+                                   std::span<const double>(negLoad_), group,
+                                   std::span<const T>(accIntercept),
+                                   std::span<const T>(&betaLoad, 1));
+    // lognormal(rt | mu, sigma) = normal(log rt | mu, sigma) - log rt.
+    const T latCoef[] = {p.scalar(kGammaLoad), p.scalar(kDeltaAcc)};
+    lp += normal_id_glm_lpdf(std::span<const double>(logRt_),
+                             std::span<const double>(latDesign_), group,
+                             std::span<const T>(latIntercept),
+                             std::span<const T>(latCoef), sigmaRt);
+    lp -= logRtSum_;
+    return lp;
+}
+
+template <typename T>
+T
+MemoryRetrieval::logDensityScalar(const ppl::ParamView<T>& p) const
+{
+    using namespace bayes::math;
+    const T& alpha = p.scalar(kAlpha);
+    const T& betaLoad = p.scalar(kBetaLoad);
+    const T& sigmaU = p.scalar(kSigmaU);
+    const T& muRt = p.scalar(kMuRt);
     const T& gammaLoad = p.scalar(kGammaLoad);
     const T& deltaAcc = p.scalar(kDeltaAcc);
     const T& sigmaV = p.scalar(kSigmaV);
@@ -88,9 +140,9 @@ MemoryRetrieval::logDensity(const ppl::ParamView<T>& p) const
     // originals use to avoid funnel geometry.
     std::vector<T> u(numSubjects_), v(numSubjects_);
     for (std::size_t s = 0; s < numSubjects_; ++s) {
-        // bayes-lint: allow(R007): loop also builds u/v; fusion is future work
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += std_normal_lpdf(p.at(kU, s));
-        // bayes-lint: allow(R007): loop also builds u/v; fusion is future work
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += std_normal_lpdf(p.at(kV, s));
         u[s] = sigmaU * p.at(kU, s);
         v[s] = sigmaV * p.at(kV, s);
@@ -99,11 +151,11 @@ MemoryRetrieval::logDensity(const ppl::ParamView<T>& p) const
     for (std::size_t i = 0; i < accuracy_.size(); ++i) {
         const auto s = static_cast<std::size_t>(subject_[i]);
         const T etaAcc = alpha + u[s] - betaLoad * load_[i];
-        // bayes-lint: allow(R007): random-effect gather per row; fusion is future work
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += bernoulli_logit_lpmf(accuracy_[i], etaAcc);
         const T muLat = muRt + v[s] + gammaLoad * load_[i]
             + deltaAcc * static_cast<double>(accuracy_[i]);
-        // bayes-lint: allow(R007): random-effect gather per row; fusion is future work
+        // bayes-lint: allow(R007): retained scalar twin; fused path above
         lp += lognormal_lpdf(rt_[i], muLat, sigmaRt);
     }
     return lp;
@@ -119,6 +171,18 @@ ad::Var
 MemoryRetrieval::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
+}
+
+double
+MemoryRetrieval::logProbScalar(const ppl::ParamView<double>& p) const
+{
+    return logDensityScalar(p);
+}
+
+ad::Var
+MemoryRetrieval::logProbScalar(const ppl::ParamView<ad::Var>& p) const
+{
+    return logDensityScalar(p);
 }
 
 } // namespace bayes::workloads

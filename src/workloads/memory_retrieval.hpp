@@ -22,6 +22,8 @@ class MemoryRetrieval : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    double logProbScalar(const ppl::ParamView<double>& p) const override;
+    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of participants. */
     std::size_t numSubjects() const { return numSubjects_; }
@@ -47,12 +49,20 @@ class MemoryRetrieval : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
+    template <typename T>
+    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numSubjects_;
     std::vector<int> subject_;
     std::vector<double> load_;
     std::vector<int> accuracy_;
     std::vector<double> rt_;
+
+    // Fused-path views of the same data, built once in the constructor.
+    std::vector<double> negLoad_;   ///< accuracy design column, -load
+    std::vector<double> latDesign_; ///< latency design rows {load, acc}
+    std::vector<double> logRt_;     ///< log rt, the lognormal's normal
+    double logRtSum_ = 0.0;         ///< Σ log rt (lognormal Jacobian)
 };
 
 } // namespace bayes::workloads

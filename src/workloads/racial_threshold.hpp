@@ -23,6 +23,8 @@ class RacialThreshold : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    double logProbScalar(const ppl::ParamView<double>& p) const override;
+    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of police departments. */
     std::size_t numDepartments() const { return numDepartments_; }
@@ -43,12 +45,19 @@ class RacialThreshold : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
+    template <typename T>
+    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numDepartments_;
     std::size_t numRaces_;
     std::vector<long> stops_;    ///< [dept * races + race]
     std::vector<long> searches_;
     std::vector<long> hits_;
+
+    // Fused-path constants, computed once in the constructor.
+    double searchLchoose_ = 0.0; ///< Σ lchoose(stops, searches)
+    double hitLchoose_ = 0.0;    ///< Σ lchoose(searches, hits)
+    std::vector<double> ones_;   ///< per-department unit weights
 };
 
 } // namespace bayes::workloads

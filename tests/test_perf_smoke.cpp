@@ -1,11 +1,12 @@
 /**
  * @file
  * Performance smoke test gating the fused-kernel win: on the `ad`
- * attribution workload the fused tape must stay at or below 25% of the
- * scalar reference tape's node count, while producing the same log
- * density and gradient. Runs as a plain ctest under the `perf-smoke`
- * label so CI catches regressions that quietly re-inflate the tape
- * (e.g. a kernel falling back to the scalar loop).
+ * attribution workload and on `memory`, `racial` and `butterfly` the
+ * fused tape must stay at or below 25% of the scalar reference tape's
+ * node count, while producing the same log density and gradient. Runs
+ * as a plain ctest under the `perf-smoke` label so CI catches
+ * regressions that quietly re-inflate the tape (e.g. a kernel falling
+ * back to the scalar loop).
  */
 #include <gtest/gtest.h>
 
@@ -19,9 +20,14 @@
 namespace bayes {
 namespace {
 
-TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnAdAttribution)
+/**
+ * The fused tape of workload @p name is at most a quarter of the scalar
+ * reference tape's node count, for the same log density and gradient.
+ */
+void
+expectFusedTapeAtMostAQuarter(const char* name)
 {
-    const auto wl = workloads::makeWorkload("ad", 1.0);
+    const auto wl = workloads::makeWorkload(name, 1.0);
     ppl::Evaluator fused(*wl);
     ppl::Evaluator scalar(*wl);
     scalar.setScalarLikelihood(true);
@@ -36,17 +42,30 @@ TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnAdAttribution)
     const double lpS = scalar.logProbGrad(q, gS);
 
     // Same posterior...
-    EXPECT_NEAR(lpF, lpS, 1e-9 * std::fabs(lpS));
+    EXPECT_NEAR(lpF, lpS, 1e-9 * std::fabs(lpS)) << name;
     ASSERT_EQ(gF.size(), gS.size());
     for (std::size_t i = 0; i < gF.size(); ++i)
         EXPECT_NEAR(gF[i], gS[i],
                     1e-8 * std::max(1.0, std::fabs(gS[i])))
-            << "coord " << i;
+            << name << " coord " << i;
 
-    // ...from a tape at most a quarter of the size (the PR's bar).
+    // ...from a tape at most a quarter of the size.
     EXPECT_LE(4 * fused.lastTapeNodes(), scalar.lastTapeNodes())
-        << "fused " << fused.lastTapeNodes() << " nodes vs scalar "
-        << scalar.lastTapeNodes();
+        << name << ": fused " << fused.lastTapeNodes()
+        << " nodes vs scalar " << scalar.lastTapeNodes();
+}
+
+TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnAdAttribution)
+{
+    expectFusedTapeAtMostAQuarter("ad");
+}
+
+TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnHierarchicalModels)
+{
+    // One model per new kernel family: grouped GLMs (memory), per-cell
+    // binomials (racial) and the occupancy mixture (butterfly).
+    for (const char* name : {"memory", "racial", "butterfly"})
+        expectFusedTapeAtMostAQuarter(name);
 }
 
 TEST(PerfSmoke, BatchedEvalStreamsDataOncePerEightLanes)

@@ -376,6 +376,316 @@ TEST(VecKernels, BernoulliLogitScaledGlmMatchesScalarLoop)
     expectMatchesFiniteDifference(leafVals, fused);
 }
 
+TEST(VecKernels, BernoulliLogitGlmWithGroupsMatchesScalarLoop)
+{
+    // Group numG - 1 has no rows: its intercept gets a zero edge.
+    Rng rng(83);
+    const std::size_t n = 75, numK = 2, numG = 6;
+    const auto x = randomData(rng, n * numK, -1.5, 1.5);
+    std::vector<int> group(n), ys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        group[i] = static_cast<int>(rng.uniformInt(numG - 1));
+        ys[i] = rng.bernoulli(0.55);
+    }
+    std::vector<double> leafVals = randomData(rng, numG, -1.0, 1.0);
+    for (std::size_t k = 0; k < numK; ++k)
+        leafVals.push_back(rng.uniform(-0.8, 0.8));
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::bernoulli_logit_glm_lpmf(
+            std::span<const int>(ys), std::span<const double>(x),
+            std::span<const int>(group), p.subspan(0, numG),
+            p.subspan(numG, numK));
+    };
+    auto scalar = [&](std::span<const ad::Var> p) {
+        ad::Var lp(0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ad::Var eta = p[static_cast<std::size_t>(group[i])];
+            for (std::size_t k = 0; k < numK; ++k)
+                eta += p[numG + k] * x[i * numK + k];
+            lp += math::bernoulli_logit_lpmf(ys[i], eta);
+        }
+        return lp;
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+
+    ad::Tape tape;
+    const auto leaves = makeLeaves(tape, leafVals);
+    std::vector<double> grad;
+    tape.gradient(fused(leaves).id(), grad);
+    EXPECT_EQ(grad[leaves[numG - 1].id()], 0.0);
+}
+
+TEST(VecKernels, NormalIdGlmWithGroupsMatchesScalarLoop)
+{
+    // Group 0 has no rows: its intercept gets a zero edge.
+    Rng rng(84);
+    const std::size_t n = 64, numK = 2, numG = 5;
+    const auto x = randomData(rng, n * numK, -2.0, 2.0);
+    const auto ys = randomData(rng, n, -3.0, 3.0);
+    std::vector<int> group(n);
+    for (auto& g : group)
+        g = 1 + static_cast<int>(rng.uniformInt(numG - 1));
+    std::vector<double> leafVals = randomData(rng, numG, -1.0, 1.0);
+    for (std::size_t k = 0; k < numK; ++k)
+        leafVals.push_back(rng.uniform(-0.8, 0.8));
+    leafVals.push_back(1.1);  // sigma
+    const std::size_t sig = numG + numK;
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::normal_id_glm_lpdf(
+            std::span<const double>(ys), std::span<const double>(x),
+            std::span<const int>(group), p.subspan(0, numG),
+            p.subspan(numG, numK), p[sig]);
+    };
+    auto scalar = [&](std::span<const ad::Var> p) {
+        ad::Var lp(0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ad::Var mu = p[static_cast<std::size_t>(group[i])];
+            for (std::size_t k = 0; k < numK; ++k)
+                mu += p[numG + k] * x[i * numK + k];
+            lp += math::normal_lpdf(ys[i], mu, p[sig]);
+        }
+        return lp;
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+
+    ad::Tape tape;
+    const auto leaves = makeLeaves(tape, leafVals);
+    std::vector<double> grad;
+    tape.gradient(fused(leaves).id(), grad);
+    EXPECT_EQ(grad[leaves[0].id()], 0.0);
+}
+
+/** Aggregated binomial cells; every fifth cell has no trials. */
+struct BinomialCells
+{
+    std::vector<long> ys, ns;
+};
+
+BinomialCells
+makeBinomialCells(Rng& rng, std::size_t cells)
+{
+    BinomialCells c;
+    for (std::size_t i = 0; i < cells; ++i) {
+        const long n =
+            i % 5 == 2 ? 0 : 1 + static_cast<long>(rng.uniformInt(400));
+        c.ns.push_back(n);
+        c.ys.push_back(rng.binomial(n, rng.uniform(0.05, 0.6)));
+    }
+    return c;
+}
+
+TEST(VecKernels, BinomialLogitVecMatchesScalarLoop)
+{
+    Rng rng(85);
+    const std::size_t cells = 40;
+    const BinomialCells c = makeBinomialCells(rng, cells);
+    const double lchooseSum = math::binomial_lchoose_sum(
+        std::span<const long>(c.ys), std::span<const long>(c.ns));
+    const auto leafVals = randomData(rng, cells, -3.0, 1.5);
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::binomial_logit_lpmf_vec(std::span<const long>(c.ys),
+                                             std::span<const long>(c.ns),
+                                             p, lchooseSum);
+    };
+    // The scalar loop skips cells with no trials, as the racial model's
+    // hit layer skips cells with no searches.
+    auto scalar = [&](std::span<const ad::Var> p) {
+        ad::Var lp(0.0);
+        for (std::size_t i = 0; i < cells; ++i)
+            if (c.ns[i] > 0)
+                lp += math::binomial_logit_lpmf(c.ys[i], c.ns[i], p[i]);
+        return lp;
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+
+    // Empty cells record no edge and get a zero adjoint.
+    ad::Tape tape;
+    const auto leaves = makeLeaves(tape, leafVals);
+    const ad::Var y = fused(leaves);
+    EXPECT_EQ(tape.edgeCount(), cells - cells / 5);
+    std::vector<double> grad;
+    tape.gradient(y.id(), grad);
+    for (std::size_t i = 2; i < cells; i += 5)
+        EXPECT_EQ(grad[leaves[i].id()], 0.0) << "cell " << i;
+}
+
+/**
+ * A species × site detection table with T visits per site, and its
+ * per-species count histograms. Species 0 is never detected, species 1
+ * is detected at every site.
+ */
+struct DetectionTable
+{
+    std::size_t species, sites;
+    long trials;
+    std::vector<long> counts; ///< [species * sites + site]
+    std::vector<long> hist;   ///< [species * (trials + 1) + c]
+};
+
+DetectionTable
+makeDetectionTable(Rng& rng, std::size_t species, std::size_t sites,
+                   long trials)
+{
+    DetectionTable d{species, sites, trials, {}, {}};
+    const auto bins = static_cast<std::size_t>(trials) + 1;
+    d.hist.assign(species * bins, 0);
+    for (std::size_t s = 0; s < species; ++s) {
+        for (std::size_t j = 0; j < sites; ++j) {
+            long c = 0;
+            if (s == 1)
+                c = 1 + static_cast<long>(rng.uniformInt(
+                    static_cast<std::uint64_t>(trials)));
+            else if (s > 1 && rng.bernoulli(0.6))
+                c = rng.binomial(trials, 0.4);
+            d.counts.push_back(c);
+            ++d.hist[s * bins + static_cast<std::size_t>(c)];
+        }
+    }
+    return d;
+}
+
+/** The butterfly model's per-site scalar occupancy loop. */
+template <typename T>
+T
+occupancyScalarLoop(const DetectionTable& d, std::span<const T> occ,
+                    std::span<const T> det)
+{
+    T lp = 0.0;
+    for (std::size_t s = 0; s < d.species; ++s) {
+        const T logPsi = -math::log1pExp(-occ[s]);
+        const T logOneMinusPsi = -math::log1pExp(occ[s]);
+        for (std::size_t j = 0; j < d.sites; ++j) {
+            const long x = d.counts[s * d.sites + j];
+            const T detLp = math::binomial_logit_lpmf(x, d.trials, det[s]);
+            if (x > 0)
+                lp += logPsi + detLp;
+            else
+                lp += math::logSumExp(logPsi + detLp, logOneMinusPsi);
+        }
+    }
+    return lp;
+}
+
+TEST(VecKernels, OccupancyBinomialLogitMatchesScalarLoop)
+{
+    Rng rng(86);
+    const std::size_t species = 9;
+    const DetectionTable d = makeDetectionTable(rng, species, 8, 3);
+    ASSERT_EQ(d.hist[0], 8);               // species 0: never detected
+    ASSERT_EQ(d.hist[1 * 4 + 0], 0);       // species 1: every site
+    std::vector<double> leafVals = randomData(rng, 2 * species, -2.5, 2.5);
+    leafVals[0] = 4.0;  // near-certain occupancy, never detected
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::occupancy_binomial_logit_lpmf_vec(
+            std::span<const long>(d.hist), d.trials, p.subspan(0, species),
+            p.subspan(species, species));
+    };
+    auto scalar = [&](std::span<const ad::Var> p) {
+        return occupancyScalarLoop<ad::Var>(d, p.subspan(0, species),
+                                            p.subspan(species, species));
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+
+    // Two edges per species, one wide node for the whole table.
+    ad::Tape tape;
+    const auto leaves = makeLeaves(tape, leafVals);
+    fused(leaves);
+    EXPECT_EQ(tape.edgeCount(), 2 * species);
+    EXPECT_EQ(tape.wideCount(), 1u);
+}
+
+TEST(VecKernels, NewKernelsAllDoubleInstantiationBuildsNoTape)
+{
+    Rng rng(87);
+    // Grouped GLMs; group 2 has no rows.
+    const std::size_t n = 30, numK = 2;
+    const auto x = randomData(rng, n * numK, -1.0, 1.0);
+    const auto yd = randomData(rng, n, -2.0, 2.0);
+    std::vector<int> group(n), yb(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        group[i] = static_cast<int>(i % 2);
+        yb[i] = rng.bernoulli(0.5);
+    }
+    const auto alphas = randomData(rng, 3, -1.0, 1.0);
+    const auto betas = randomData(rng, numK, -1.0, 1.0);
+    const double bernFused = math::bernoulli_logit_glm_lpmf(
+        std::span<const int>(yb), std::span<const double>(x),
+        std::span<const int>(group), std::span<const double>(alphas),
+        std::span<const double>(betas));
+    const double nidFused = math::normal_id_glm_lpdf(
+        std::span<const double>(yd), std::span<const double>(x),
+        std::span<const int>(group), std::span<const double>(alphas),
+        std::span<const double>(betas), 0.7);
+    double bernScalar = 0.0, nidScalar = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        double eta = alphas[static_cast<std::size_t>(group[i])];
+        for (std::size_t k = 0; k < numK; ++k)
+            eta += betas[k] * x[i * numK + k];
+        bernScalar += math::bernoulli_logit_lpmf(yb[i], eta);
+        nidScalar += math::normal_lpdf(yd[i], eta, 0.7);
+    }
+    EXPECT_LT(relErr(bernFused, bernScalar), kValueRelTol);
+    EXPECT_LT(relErr(nidFused, nidScalar), kValueRelTol);
+
+    const BinomialCells c = makeBinomialCells(rng, 15);
+    const double lchooseSum = math::binomial_lchoose_sum(
+        std::span<const long>(c.ys), std::span<const long>(c.ns));
+    const auto etas = randomData(rng, 15, -2.0, 2.0);
+    const DetectionTable d = makeDetectionTable(rng, 5, 6, 4);
+    const auto occ = randomData(rng, 5, -1.5, 1.5);
+    const auto det = randomData(rng, 5, -1.5, 1.5);
+
+    const double binFused = math::binomial_logit_lpmf_vec(
+        std::span<const long>(c.ys), std::span<const long>(c.ns),
+        std::span<const double>(etas), lchooseSum);
+    double binScalar = 0.0;
+    for (std::size_t i = 0; i < etas.size(); ++i)
+        if (c.ns[i] > 0)
+            binScalar += math::binomial_logit_lpmf(c.ys[i], c.ns[i], etas[i]);
+    EXPECT_LT(relErr(binFused, binScalar), kValueRelTol);
+
+    const double occFused = math::occupancy_binomial_logit_lpmf_vec(
+        std::span<const long>(d.hist), d.trials,
+        std::span<const double>(occ), std::span<const double>(det));
+    const double occScalar = occupancyScalarLoop<double>(
+        d, std::span<const double>(occ), std::span<const double>(det));
+    EXPECT_LT(relErr(occFused, occScalar), kValueRelTol);
+
+    // Untracked Var arguments collapse to a constant: no tape is touched
+    // and the value is the double instantiation's, bit for bit.
+    const std::vector<ad::Var> alphaVars(alphas.begin(), alphas.end());
+    const std::vector<ad::Var> betaVars(betas.begin(), betas.end());
+    const ad::Var bernConst = math::bernoulli_logit_glm_lpmf(
+        std::span<const int>(yb), std::span<const double>(x),
+        std::span<const int>(group), std::span<const ad::Var>(alphaVars),
+        std::span<const ad::Var>(betaVars));
+    const ad::Var nidConst = math::normal_id_glm_lpdf(
+        std::span<const double>(yd), std::span<const double>(x),
+        std::span<const int>(group), std::span<const ad::Var>(alphaVars),
+        std::span<const ad::Var>(betaVars), ad::Var(0.7));
+    EXPECT_FALSE(bernConst.tracked());
+    EXPECT_FALSE(nidConst.tracked());
+    EXPECT_EQ(bernConst.value(), bernFused);
+    EXPECT_EQ(nidConst.value(), nidFused);
+    const std::vector<ad::Var> etaVars(etas.begin(), etas.end());
+    const std::vector<ad::Var> occVars(occ.begin(), occ.end());
+    const std::vector<ad::Var> detVars(det.begin(), det.end());
+    const ad::Var binConst = math::binomial_logit_lpmf_vec(
+        std::span<const long>(c.ys), std::span<const long>(c.ns),
+        std::span<const ad::Var>(etaVars), lchooseSum);
+    const ad::Var occConst = math::occupancy_binomial_logit_lpmf_vec(
+        std::span<const long>(d.hist), d.trials,
+        std::span<const ad::Var>(occVars), std::span<const ad::Var>(detVars));
+    EXPECT_FALSE(binConst.tracked());
+    EXPECT_FALSE(occConst.tracked());
+    EXPECT_EQ(binConst.value(), binFused);
+    EXPECT_EQ(occConst.value(), occFused);
+}
+
 TEST(VecKernels, DotVecMatchesScalarLoop)
 {
     Rng rng(82);
@@ -499,7 +809,8 @@ TEST_P(FusedWorkload, MatchesScalarPathAtRandomPoints)
 
 INSTANTIATE_TEST_SUITE_P(PortedWorkloads, FusedWorkload,
                          ::testing::Values("ad", "12cities", "tickets",
-                                           "disease", "votes", "survival"));
+                                           "disease", "votes", "survival",
+                                           "memory", "racial", "butterfly"));
 
 } // namespace
 } // namespace bayes
