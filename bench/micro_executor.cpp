@@ -1,9 +1,9 @@
 /**
  * @file
  * Executor micro-bench — wall-clock time of `runWithElision` under the
- * three execution policies on `12cities` and `votes` (4 chains). The
- * phased barrier executor must produce the identical stop draw under
- * every policy; the interesting number is the wall-time ratio, which
+ * sequential and pooled execution policies on `12cities` and `votes`
+ * (4 chains). The round loop must produce the identical stop draw under
+ * both; the interesting number is the wall-time ratio, which
  * approaches the chain count on a machine with that many idle cores.
  */
 #include "common.hpp"
@@ -54,13 +54,11 @@ main()
         auto cfg = bench::userConfig(
             *wl, samplers::ExecutionPolicy::sequential());
         cfg.chains = 4;
-        std::fprintf(stderr, "[bench] %s: elided runs x3 policies...\n",
+        std::fprintf(stderr, "[bench] %s: elided runs x2 policies...\n",
                      name.c_str());
 
         const auto seq = timedElision(
             *wl, cfg, samplers::ExecutionPolicy::sequential());
-        const auto tpc = timedElision(
-            *wl, cfg, samplers::ExecutionPolicy::threadPerChain());
         const auto pool =
             timedElision(*wl, cfg, samplers::ExecutionPolicy::pool());
 
@@ -74,12 +72,10 @@ main()
                 .cell(m.result.converged ? "yes" : "no");
         };
         emit("sequential", seq);
-        emit("thread-per-chain", tpc);
         emit("pool", pool);
 
-        // The whole point of the phased executor: identical decisions.
-        if (tpc.result.stoppedAtDraw != seq.result.stoppedAtDraw
-            || pool.result.stoppedAtDraw != seq.result.stoppedAtDraw) {
+        // The whole point of the round loop: identical decisions.
+        if (pool.result.stoppedAtDraw != seq.result.stoppedAtDraw) {
             std::fprintf(stderr,
                          "ERROR: stop draw differs across policies\n");
             return 1;
@@ -134,37 +130,38 @@ main()
                      obs::Tracer::global().eventCount());
     }
 
-    // Batched pooled evaluation: the same pooled HMC run with the
-    // round's gradient evaluations gathered into one EvalBatch
-    // (Config::batchEval, the default) vs per-chain evaluation. Draws
-    // are byte-identical; the win is one shared-data pass per round
-    // instead of K, shown directly as data bytes streamed per gradient
-    // evaluation at the Evaluator level.
+    // Batched pooled evaluation: the pooled HMC run, whose rounds
+    // gather every chain's gradient evaluations into one EvalBatch, vs
+    // the sequential per-chain reference. Draws are byte-identical; the
+    // win is one shared-data pass per round instead of K, shown
+    // directly as data bytes streamed per gradient evaluation at the
+    // Evaluator level.
     {
         const auto wl = workloads::makeWorkload("ad");
-        Table batchTable({"chains K", "batched wall(s)", "unbatched wall(s)",
-                          "data bytes/eval", "unbatched bytes/eval"});
+        Table batchTable({"chains K", "batched wall(s)",
+                          "sequential wall(s)", "data bytes/eval",
+                          "per-chain bytes/eval"});
         for (const int chains : {2, 4, 8}) {
             auto cfg = bench::userConfig(*wl);
             cfg.algorithm = samplers::Algorithm::Hmc;
             cfg.chains = chains;
             cfg.hmcLeapfrogSteps = 8;
-            cfg.execution = samplers::ExecutionPolicy::pool();
             std::fprintf(stderr,
-                         "[bench] batched eval: K=%d pooled HMC x2...\n",
+                         "[bench] batched eval: K=%d HMC pooled vs "
+                         "sequential...\n",
                          chains);
 
-            cfg.batchEval = true;
+            cfg.execution = samplers::ExecutionPolicy::pool();
             Timer tb;
             const auto batched = samplers::run(*wl, cfg);
             const double batchedSeconds = tb.seconds();
-            cfg.batchEval = false;
-            Timer tu;
-            const auto unbatched = samplers::run(*wl, cfg);
-            const double unbatchedSeconds = tu.seconds();
-            if (batched.chains[0].draws != unbatched.chains[0].draws) {
+            cfg.execution = samplers::ExecutionPolicy::sequential();
+            Timer ts;
+            const auto sequential = samplers::run(*wl, cfg);
+            const double sequentialSeconds = ts.seconds();
+            if (batched.chains[0].draws != sequential.chains[0].draws) {
                 std::fprintf(stderr,
-                             "ERROR: batched draws differ from unbatched\n");
+                             "ERROR: batched draws differ from sequential\n");
                 return 1;
             }
 
@@ -185,90 +182,15 @@ main()
             batchTable.row()
                 .cell(static_cast<long>(chains))
                 .cell(batchedSeconds, 2)
-                .cell(unbatchedSeconds, 2)
+                .cell(sequentialSeconds, 2)
                 .cell(bytesPerEval, 0)
                 .cell(static_cast<double>(wl->modeledDataBytes()), 0);
         }
         printSection(
             "Batched pooled evaluation — wall time and shared-data bytes "
-            "per gradient eval vs chain count (HMC on `ad`, pool policy)",
+            "per gradient eval vs chain count (HMC on `ad`, pool vs "
+            "sequential)",
             batchTable);
-    }
-
-    // Speculative prefetching: the pooled batched MH run per
-    // speculation depth. Draws must stay byte-identical to depth 0
-    // (checked here, gated in `ctest -L determinism`); the reported
-    // numbers are the speculation counters and wall time. At depth d
-    // the MH tree issues 2^(d+1)-2 lanes per replanning round and the
-    // realized branch is always among them, so the *number of rounds
-    // served from cache* climbs with depth while the per-lane hit
-    // rate (hits/issued) falls geometrically with the tree size — the
-    // classic speculation coverage/waste trade. On a single-core host
-    // the wall-time column is
-    // informational: speculation spends the idle lanes a wide machine
-    // would have wasted, which serializes here.
-    {
-        const auto wl = workloads::makeWorkload("ad");
-        auto cfg = bench::userConfig(*wl);
-        cfg.algorithm = samplers::Algorithm::Mh;
-        cfg.chains = 4;
-        cfg.execution = samplers::ExecutionPolicy::pool();
-        cfg.batchEval = true;
-
-        Table specTable({"depth", "wall(s)", "issued", "hits", "wasted",
-                         "hit rate"});
-        std::vector<std::vector<double>> depthZeroDraws;
-        for (const int depth : {0, 1, 2, 3}) {
-            cfg.speculationDepth = depth;
-            std::fprintf(stderr,
-                         "[bench] speculation: pooled batched MH depth "
-                         "%d...\n",
-                         depth);
-            auto& reg = obs::Registry::global();
-            const auto issued0 = reg.counter("spec.issued").value();
-            const auto hits0 = reg.counter("spec.hits").value();
-            const auto wasted0 = reg.counter("spec.wasted").value();
-            Timer timer;
-            const auto result = samplers::run(*wl, cfg);
-            const double seconds = timer.seconds();
-            const auto issued = reg.counter("spec.issued").value() - issued0;
-            const auto hits = reg.counter("spec.hits").value() - hits0;
-            const auto wasted = reg.counter("spec.wasted").value() - wasted0;
-
-            if (depth == 0)
-                depthZeroDraws = result.chains[0].draws;
-            else if (result.chains[0].draws != depthZeroDraws) {
-                std::fprintf(stderr,
-                             "ERROR: depth %d draws differ from depth 0\n",
-                             depth);
-                return 1;
-            }
-            if (hits + wasted != issued) {
-                std::fprintf(stderr,
-                             "ERROR: speculation accounting broken: "
-                             "%llu + %llu != %llu\n",
-                             static_cast<unsigned long long>(hits),
-                             static_cast<unsigned long long>(wasted),
-                             static_cast<unsigned long long>(issued));
-                return 1;
-            }
-
-            specTable.row()
-                .cell(static_cast<long>(depth))
-                .cell(seconds, 2)
-                .cell(static_cast<long>(issued))
-                .cell(static_cast<long>(hits))
-                .cell(static_cast<long>(wasted))
-                .cell(issued ? static_cast<double>(hits)
-                                   / static_cast<double>(issued)
-                             : 0.0,
-                      3);
-        }
-        printSection(
-            "Speculative prefetching — pooled batched MH (`ad`, 4 "
-            "chains) per speculation depth; draws byte-identical to "
-            "depth 0 at every row",
-            specTable);
     }
 
     bench::writeRunReport("micro_executor");

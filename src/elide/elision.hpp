@@ -77,9 +77,9 @@ struct ElisionResult
  * Run @p model under @p config with runtime convergence detection.
  * The sampler configuration's iteration count acts as the budget; the
  * run stops early at detection. Elision composes with parallelism:
- * `config.execution` selects the schedule, and the phased barrier
- * executor guarantees the same draws and the same stop iteration under
- * Sequential, ThreadPerChain and Pool.
+ * `config.execution` selects the schedule, and the round loop
+ * guarantees the same draws and the same stop iteration under
+ * Sequential and Pool.
  */
 ElisionResult runWithElision(const ppl::Model& model,
                              const samplers::Config& config,

@@ -173,8 +173,8 @@ class BatchWideTerm
 /**
  * The logistic quantities of one logit x from a single exp and log1p:
  * each field is bitwise equal to the named special-function call, so
- * the binomial kernels see exactly the per-cell terms of the scalar
- * path at half the transcendental cost.
+ * the Bernoulli and binomial kernels see exactly the per-row terms of
+ * the scalar path at half the transcendental cost.
  */
 struct Logistic
 {
@@ -476,9 +476,10 @@ bernoulli_logit_glm_lpmf(std::span<const int> ys,
         double eta = alphaV[g];
         for (std::size_t k = 0; k < numK; ++k)
             eta += betaV[k] * row[k];
-        value += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
+        const detail::Logistic lg = detail::logistic(eta);
+        value += ys[i] ? -lg.softplusNeg : -lg.softplus;
         if constexpr (std::is_same_v<R, ad::Var>) {
-            const double r = static_cast<double>(ys[i]) - invLogit(eta);
+            const double r = static_cast<double>(ys[i]) - lg.p;
             dAlpha[g] += r;
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += r * row[k];
@@ -679,9 +680,10 @@ bernoulli_logit_scaled_glm_lpmf(std::span<const int> ys,
         for (std::size_t k = 0; k < numK; ++k)
             score += wV[k] * row[k];
         const double eta = scaleV * (score - shiftV);
-        value += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
+        const detail::Logistic lg = detail::logistic(eta);
+        value += ys[i] ? -lg.softplusNeg : -lg.softplus;
         if constexpr (std::is_same_v<R, ad::Var>) {
-            const double r = static_cast<double>(ys[i]) - invLogit(eta);
+            const double r = static_cast<double>(ys[i]) - lg.p;
             for (std::size_t k = 0; k < numK; ++k)
                 dW[k] += r * scaleV * row[k];
             dScale += r * (score - shiftV);
@@ -990,12 +992,14 @@ bernoulli_logit_glm_lpmf_batch(std::span<const int> ys,
                 e[k] += bj[k] * xj;
         }
         const int y = ys[i];
-        for (std::size_t k = 0; k < lanes; ++k)
-            value[k] += y ? -log1pExp(-e[k]) : -log1pExp(e[k]);
+        for (std::size_t k = 0; k < lanes; ++k) {
+            const detail::Logistic lg = detail::logistic(e[k]);
+            value[k] += y ? -lg.softplusNeg : -lg.softplus;
+            if constexpr (std::is_same_v<R, ad::Var>)
+                r[k] = static_cast<double>(y) - lg.p;
+        }
         if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT rr = r.data();
-            for (std::size_t k = 0; k < lanes; ++k)
-                rr[k] = static_cast<double>(y) - invLogit(e[k]);
+            const double* BAYES_RESTRICT rr = r.data();
             double* BAYES_RESTRICT da = dAlpha.data();
             for (std::size_t k = 0; k < lanes; ++k)
                 da[k] += rr[k];
@@ -1249,15 +1253,14 @@ bernoulli_logit_scaled_glm_lpmf_batch(
         }
         const int y = ys[i];
         for (std::size_t k = 0; k < lanes; ++k) {
-            const double etaK = scaleV[k] * (sc[k] - shiftV[k]);
-            value[k] += y ? -log1pExp(-etaK) : -log1pExp(etaK);
+            const detail::Logistic lg =
+                detail::logistic(scaleV[k] * (sc[k] - shiftV[k]));
+            value[k] += y ? -lg.softplusNeg : -lg.softplus;
+            if constexpr (std::is_same_v<R, ad::Var>)
+                r[k] = static_cast<double>(y) - lg.p;
         }
         if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT rr = r.data();
-            for (std::size_t k = 0; k < lanes; ++k) {
-                const double etaK = scaleV[k] * (sc[k] - shiftV[k]);
-                rr[k] = static_cast<double>(y) - invLogit(etaK);
-            }
+            const double* BAYES_RESTRICT rr = r.data();
             for (std::size_t j = 0; j < numK; ++j) {
                 const double xj = row[j];
                 double* BAYES_RESTRICT dwj = dW.data() + j * lanes;

@@ -105,7 +105,7 @@ class Hamiltonian
      * drift. The step then needs the gradient at the new position —
      * either evaluated inline (leapfrog) or delivered from a batched
      * evaluation via leapfrogEnd. Splitting the step here is what lets
-     * the phased executor gather K chains' pending positions into one
+     * the round loop gather K chains' pending positions into one
      * EvalBatch.
      */
     void

@@ -29,16 +29,6 @@ MhSampler::transition(std::vector<double>& q, double& logProb, Rng& rng)
     return finish(q, logProb, proposal, proposalLogProb, rng);
 }
 
-void
-MhSampler::speculate(const std::vector<double>& q,
-                     const std::vector<double>& pending, Rng replica,
-                     int depth, prefetch::Ledger& ledger,
-                     std::vector<prefetch::SpecLane>& lanes) const
-{
-    prefetch::planMhTree(q, pending, scale_, std::move(replica), depth,
-                         ledger, lanes);
-}
-
 MhTransition
 MhSampler::finish(std::vector<double>& q, double& logProb,
                   std::vector<double>& proposal, double proposalLogProb,

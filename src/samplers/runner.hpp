@@ -1,29 +1,29 @@
 /**
  * @file
- * Multi-chain driver — the phased barrier executor. Chains advance in
- * rounds (one iteration per chain per round); after every post-warmup
- * round the monitor observes all chains at the same draw count and
- * decides continue/stop — the hook the convergence-elision mechanism
- * (§VI) plugs into. The schedule across threads never changes any
- * chain's own trajectory: each chain has an independent RNG stream and
- * evaluator, so every ExecutionPolicy yields identical draws and —
- * because the monitor always sees the same synchronized view — the
- * identical stop decision.
+ * Multi-chain driver — one round loop. Each chain's warmup runs as one
+ * task; then every sampling round advances all chains and, once they
+ * are parked, asks the monitor on the calling thread whether to
+ * continue — the hook the convergence-elision mechanism (§VI) plugs
+ * into. A round is one iteration when a monitor is set and the whole
+ * sampling phase when none is, so unmonitored runs pay no barriers.
  *
- * Execution is selected by Config::execution:
- *  - Sequential: rounds run on the calling thread (lockstep).
- *  - ThreadPerChain: a private worker per chain, torn down with the run.
- *  - Pool: the process-shared support::ThreadPool, reused across runs.
- * Without a monitor the parallel modes free-run (no barriers); with a
- * monitor they synchronize on a barrier each round and the monitor
- * executes on the calling thread while every chain is parked, so it may
+ * Config::execution only decides where a round's per-chain tasks run:
+ * inline in chain order (Sequential) or on the process-shared
+ * support::ThreadPool (Pool). The evaluation step follows from what
+ * the run is: pooled HMC/MH with two or more chains gathers every
+ * chain's pending point into one EvalBatch per iteration; everything
+ * else evaluates per chain. None of this changes any chain's own
+ * trajectory — each chain has an independent RNG stream, and a batched
+ * lane is bit-equal to a single evaluation — so every policy yields
+ * the draws of the sequential unbatched reference and, because the
+ * monitor always sees the same synchronized view, the identical stop
+ * decision. The monitor runs while every chain is parked, so it may
  * touch caller state without locking.
  *
  * Warmup adaptation mirrors Stan's windowed scheme in simplified form:
  * an initial step-size-only phase, a long variance-accumulation phase
  * that ends by installing the diagonal metric, and a final step-size
- * re-adaptation phase. No monitor runs during warmup, so warmup always
- * free-runs in the parallel modes.
+ * re-adaptation phase. No monitor runs during warmup.
  */
 #pragma once
 
@@ -85,7 +85,7 @@ struct DeadlineRunResult
 
 /**
  * Run a multi-chain job under a wall-clock budget. The deadline is
- * enforced at round granularity through the phased executor's monitor:
+ * enforced at round granularity through the round loop's monitor:
  * after every post-warmup round the elapsed time is compared against
  * @p deadlineSeconds and the run stops — keeping every draw taken so
  * far — the first time it is exceeded. Consequences of that design:

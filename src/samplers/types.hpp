@@ -25,24 +25,22 @@ enum class Algorithm
 /** Human-readable algorithm name. */
 const char* algorithmName(Algorithm algo);
 
-/** How the chains of one run are mapped onto threads. */
+/** Where the per-chain tasks of each round run. */
 enum class ExecutionMode
 {
-    Sequential,     ///< lockstep rounds on the calling thread
-    ThreadPerChain, ///< one dedicated worker per chain, for this run only
-    Pool,           ///< process-shared worker pool, reused across runs
+    Sequential, ///< inline on the calling thread, in chain order
+    Pool,       ///< process-shared worker pool, reused across runs
 };
 
 /** Human-readable execution-mode name. */
 const char* executionModeName(ExecutionMode mode);
 
 /**
- * Chain execution policy. All three modes are draw-for-draw identical
- * (chains own independent RNG streams and evaluators) and all three
- * support an IterationMonitor: parallel modes run *phased* — every
- * chain advances one round, a barrier fires, and the monitor decides
- * continue/stop on the calling thread before the next round — so
- * computation elision composes with parallelism.
+ * Chain execution policy. Both modes drive the same round loop (see
+ * samplers::run) and are draw-for-draw identical: chains own
+ * independent RNG streams, and a pooled batched evaluation delivers
+ * the bits a per-chain one would. Sequential is the zero-worker,
+ * unbatched reference schedule.
  */
 struct ExecutionPolicy
 {
@@ -51,10 +49,6 @@ struct ExecutionPolicy
     int workers = 0;
 
     static ExecutionPolicy sequential() { return {}; }
-    static ExecutionPolicy threadPerChain()
-    {
-        return {ExecutionMode::ThreadPerChain, 0};
-    }
     static ExecutionPolicy pool(int workers = 0)
     {
         return {ExecutionMode::Pool, workers};
@@ -82,26 +76,13 @@ struct Config
     int hmcLeapfrogSteps = 32;
     /** Adapt the diagonal metric during warmup (ablation knob). */
     bool adaptMetric = true;
-    /** How chains are executed (see ExecutionPolicy). */
+    /**
+     * How chains are executed (see ExecutionPolicy). Pooled HMC/MH
+     * runs with two or more chains gather every chain's pending point
+     * into one EvalBatch per iteration, streaming the observed data
+     * once for all chains; every other run evaluates per chain.
+     */
     ExecutionPolicy execution;
-    /**
-     * Pool mode: gather the chains' pending points into one EvalBatch
-     * per round (HMC/MH), streaming the observed data once for all
-     * chains. Draw-for-draw identical to the unbatched schedules;
-     * ablation knob for the batching experiments.
-     */
-    bool batchEval = true;
-    /**
-     * Speculative prefetching depth (0 = off). Active in Pool mode
-     * with batchEval on: each batched round also evaluates the
-     * accept/reject descendants of every chain's pending proposal
-     * (MH: the full depth-d tree; HMC: the reject branch one
-     * iteration ahead) from replica RNG streams, committing cached
-     * results when the chain realizes a predicted point. Draws are
-     * byte-identical at every depth — mispredictions only cost
-     * wasted lanes (see samplers::prefetch and docs/architecture.md).
-     */
-    int speculationDepth = 0;
     /** Base RNG seed; chain c uses the c-th fork of this stream. */
     std::uint64_t seed = 20190331;
 

@@ -237,7 +237,7 @@ struct ServerConfig
  * The serving runtime. Serving stays single-coordinator by design:
  * drain/runSchedule and the per-request bookkeeping (responses, served
  * order, the virtual clock) run on one coordinating thread, exactly
- * like the phased executor's monitor contract. The *admission-time*
+ * like the round loop's monitor contract. The *admission-time*
  * state a future concurrent front door would contend on — the bounded
  * priority queues and the warm-model cache — is mutex-guarded and
  * annotated (`BAYES_GUARDED_BY`, lint rule R011), so clang's thread

@@ -241,30 +241,6 @@ Rng::fork()
     return child;
 }
 
-Rng
-Rng::replicaFork() const
-{
-    // The Box-Muller spare is part of the replayed stream: a replica
-    // that dropped it would disagree with the parent on the very next
-    // normal() whenever a spare is cached.
-    return *this;
-}
-
-Rng
-Rng::streamFork(std::uint64_t stream) const
-{
-    Rng child = *this;
-    // Perturb every state word through SplitMix64 so even stream keys
-    // 0 and 1 land in unrelated regions of the xoshiro orbit.
-    std::uint64_t x = stream ^ 0x6a09e667f3bcc909ULL;
-    for (auto& s : child.s_)
-        s ^= splitmix64(x);
-    if ((child.s_[0] | child.s_[1] | child.s_[2] | child.s_[3]) == 0)
-        child.s_[0] = 1;
-    child.hasSpare_ = false;
-    return child;
-}
-
 void
 Rng::jump()
 {

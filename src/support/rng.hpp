@@ -70,37 +70,18 @@ class Rng
     /** Sample an index from unnormalized weights. @pre weights nonempty */
     std::size_t categorical(const std::vector<double>& weights);
 
-    // -- Fork points --------------------------------------------------
-    // The ONLY sanctioned ways to duplicate generator state. An ad-hoc
+    // -- Fork point ---------------------------------------------------
+    // The ONLY sanctioned way to duplicate generator state. An ad-hoc
     // copy silently clones a random stream — two consumers replay the
     // same draws, which breaks the one-stream-per-chain determinism
     // contract — so bayes-lint rule R013 flags any other Rng copy
-    // under src/. Each fork below states its aliasing intent.
+    // under src/.
 
     /**
      * Return a generator 2^128 steps ahead; calling fork() repeatedly
      * yields independent streams (one per Markov chain).
      */
     Rng fork();
-
-    /**
-     * Exact replica of this stream for speculative execution: the
-     * replica predicts this generator's own future draws without
-     * advancing it (samplers::prefetch pre-generates proposals from
-     * one). The deliberate aliasing is the point — commit protocols
-     * must still consume the real stream in canonical order, and the
-     * replica must be discarded at the end of the speculation window.
-     */
-    Rng replicaFork() const;
-
-    /**
-     * Counter-based fork: a statistically independent stream keyed by
-     * @p stream, derived without advancing this generator. Unlike
-     * fork(), the parent is untouched, so speculative subsystems can
-     * mint any number of scratch streams (keyed by lane, round, or
-     * tree path) from a const context and reproduce them on replay.
-     */
-    Rng streamFork(std::uint64_t stream) const;
 
   private:
     void jump();

@@ -9,7 +9,7 @@
  * submitted to the *same* pool. With every worker busy, the waiting
  * task would starve the task it waits for. All waiting in this
  * codebase therefore happens on the coordinating (submitting) thread:
- * the phased runner and the DSE driver submit, then wait from outside
+ * the round loop and the DSE driver submit, then wait from outside
  * the pool.
  *
  * Pool activity is exported through the obs layer — `pool.*` counters

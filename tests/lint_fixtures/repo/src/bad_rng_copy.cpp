@@ -1,11 +1,11 @@
-// Fixture: R013 — Rng state copies outside the sanctioned fork points
-// (fork/replicaFork/streamFork in src/support/rng.hpp).
+// Fixture: R013 — Rng state copies outside the sanctioned fork point
+// (fork in src/support/rng.hpp).
 #include "support/rng.hpp"
 
 namespace fixture {
 Rng& chainRng();
 
-void speculativeStreams()
+void copiedStreams()
 {
     Rng rng;
     Rng clone = rng;             // EXPECT: R013
@@ -14,8 +14,6 @@ void speculativeStreams()
     Rng fresh;                   // construction, not a copy: no finding
     Rng seeded(42);              // seeded construction: no finding
     Rng forked = rng.fork();     // sanctioned fork point: no finding
-    Rng replica = rng.replicaFork();  // sanctioned: no finding
-    Rng keyed = rng.streamFork(3);    // sanctioned: no finding
     Rng snapshot = rng;  // bayes-lint: allow(R013): fixture: checkpoint/restore snapshot
     (void)clone;
     (void)clone2;
@@ -23,8 +21,6 @@ void speculativeStreams()
     (void)fresh;
     (void)seeded;
     (void)forked;
-    (void)replica;
-    (void)keyed;
     (void)snapshot;
 }
 }  // namespace fixture

@@ -1,13 +1,13 @@
 /**
  * @file
  * The determinism sweep (ctest label: determinism): drives the shared
- * harness across workloads × algorithms × seeds × execution policies ×
- * batchEval × speculation depths and asserts every cell's draws are
- * byte-identical to the sequential unbatched reference. This is the
- * acceptance gate for speculative prefetching — at any depth the
- * executor must produce the same bits it would have produced with
- * speculation off, with mispredictions surfacing only as wasted lanes
- * (obs counters, covered in test_obs), never as different draws.
+ * harness across workloads × algorithms × seeds × execution policies
+ * and asserts every cell's draws are byte-identical to the sequential
+ * unbatched reference. Pooled HMC/MH rounds evaluate every chain in one
+ * shared EvalBatch, so this is the gate that batching never changes a
+ * bit; it also pins that the round loop's two round lengths (one
+ * iteration under a monitor, the whole sampling phase without one)
+ * yield the same draws.
  */
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ sweepConfig(samplers::Algorithm algo, std::uint64_t seed)
     return cfg;
 }
 
-TEST(Determinism, DrawsAreByteIdenticalAcrossPolicyAndDepthSweep)
+TEST(Determinism, DrawsAreByteIdenticalAcrossPolicySweep)
 {
     for (const char* name : {"ad", "12cities"}) {
         const auto wl = workloads::makeWorkload(name, 0.1);
@@ -43,17 +43,17 @@ TEST(Determinism, DrawsAreByteIdenticalAcrossPolicyAndDepthSweep)
                              << samplers::algorithmName(algo) << " seed "
                              << seed);
                 harness::expectPolicyInvariantDraws(
-                    *wl, sweepConfig(algo, seed), {0, 1, 2, 3});
+                    *wl, sweepConfig(algo, seed));
             }
         }
     }
 }
 
-TEST(Determinism, StopIterationIsDepthInvariant)
+TEST(Determinism, StopIterationIsPolicyInvariant)
 {
     // A monitor that stops mid-run must fire at the same round, with
-    // the same delivered draws, whether or not speculative work was in
-    // flight — aborted ledgers may never leak into chain state.
+    // the same delivered draws, whether the rounds evaluate per chain
+    // or through one shared batch.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     auto cfg = sweepConfig(samplers::Algorithm::Mh, 777);
     cfg.iterations = 60;
@@ -63,37 +63,52 @@ TEST(Determinism, StopIterationIsDepthInvariant)
             return ctx.round >= 13 ? samplers::MonitorAction::Stop
                                    : samplers::MonitorAction::Continue;
         };
-    harness::expectPolicyInvariantDraws(*wl, cfg, {0, 1, 2, 3}, stopAt13);
+    harness::expectPolicyInvariantDraws(*wl, cfg, stopAt13);
 
     cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 3;
     const auto stopped = samplers::run(*wl, cfg, stopAt13);
     for (const auto& chain : stopped.chains)
         EXPECT_EQ(chain.draws.size(), 13u);
 }
 
-TEST(Determinism, NonSpeculatingAlgorithmsStayPolicyInvariant)
+TEST(Determinism, NutsAndSliceStayPolicyInvariant)
 {
-    // NUTS and slice take the unbatched phased path regardless of
-    // batchEval/speculationDepth; the knobs must be inert for them.
+    // NUTS and slice trajectories are data-dependent per chain, so
+    // their pooled rounds evaluate per chain rather than batched.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     for (const auto algo :
          {samplers::Algorithm::Nuts, samplers::Algorithm::Slice}) {
         SCOPED_TRACE(samplers::algorithmName(algo));
-        harness::expectPolicyInvariantDraws(
-            *wl, sweepConfig(algo, 777), {0, 2});
+        harness::expectPolicyInvariantDraws(*wl, sweepConfig(algo, 777));
     }
 }
 
-TEST(Determinism, SpeculationDepthValidation)
+TEST(Determinism, UnmonitoredRunMatchesNeverStoppingMonitor)
 {
+    // Without a monitor a round spans the whole sampling phase; with
+    // one it is a single iteration. Round length must not change a bit.
     const auto wl = workloads::makeWorkload("ad", 0.1);
-    auto cfg = sweepConfig(samplers::Algorithm::Mh, 777);
-    cfg.speculationDepth = -1;
-    EXPECT_THROW(samplers::run(*wl, cfg), Error);
-    cfg.speculationDepth = 9;
-    EXPECT_THROW(samplers::run(*wl, cfg), Error);
+    const samplers::IterationMonitor never =
+        [](const samplers::MonitorContext&) {
+            return samplers::MonitorAction::Continue;
+        };
+    for (const auto algo :
+         {samplers::Algorithm::Nuts, samplers::Algorithm::Mh}) {
+        for (const auto policy : {samplers::ExecutionPolicy::sequential(),
+                                  samplers::ExecutionPolicy::pool(2)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << samplers::algorithmName(algo) << " "
+                         << samplers::executionModeName(policy.mode));
+            auto cfg = sweepConfig(algo, 777);
+            cfg.execution = policy;
+            const auto unmonitored = samplers::run(*wl, cfg);
+            const auto monitored = samplers::run(*wl, cfg, never);
+            EXPECT_TRUE(harness::identicalRuns(unmonitored, monitored));
+            for (const auto& chain : unmonitored.chains)
+                EXPECT_EQ(chain.draws.size(),
+                          static_cast<std::size_t>(cfg.postWarmup()));
+        }
+    }
 }
 
 } // namespace

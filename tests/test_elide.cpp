@@ -131,18 +131,17 @@ TEST(Elision, RespectsMinDrawsAndInterval)
 
 TEST(Elision, StopDecisionIsIdenticalUnderEveryExecutionPolicy)
 {
-    // The tentpole guarantee: elision composes with parallelism. The
-    // phased barrier executor must reproduce the sequential schedule's
-    // draws, R-hat trace and stop iteration exactly.
+    // Elision composes with parallelism: the pooled round loop must
+    // reproduce the sequential schedule's draws, R-hat trace and stop
+    // iteration exactly.
     const auto wl = workloads::makeWorkload("12cities", 0.25);
     samplers::Config cfg;
     cfg.chains = 4;
     cfg.iterations = 800;
     const auto sequential = runWithElision(*wl, cfg);
 
-    for (const auto policy :
-         {samplers::ExecutionPolicy::threadPerChain(),
-          samplers::ExecutionPolicy::pool(2)}) {
+    for (const auto policy : {samplers::ExecutionPolicy::pool(1),
+                              samplers::ExecutionPolicy::pool(2)}) {
         cfg.execution = policy;
         const auto parallel = runWithElision(*wl, cfg);
         EXPECT_EQ(parallel.converged, sequential.converged);

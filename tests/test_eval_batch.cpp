@@ -277,9 +277,7 @@ TEST(EvalBatch, PooledBatchedDrawsMatchSequential)
 {
     // The acceptance gate: pooled batched rounds replay the exact
     // per-chain RNG and evaluation schedule, so HMC and MH draws are
-    // byte-identical to the sequential executor's, the pooled executor
-    // with batching off, and every speculative-prefetch depth (cached
-    // lanes commit the same bits a mandatory evaluation would have).
+    // byte-identical to the sequential executor's per-chain ones.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     for (const auto algo : {samplers::Algorithm::Hmc,
                             samplers::Algorithm::Mh}) {
@@ -291,7 +289,7 @@ TEST(EvalBatch, PooledBatchedDrawsMatchSequential)
         cfg.warmup = 20;
         cfg.hmcLeapfrogSteps = 8;
         cfg.seed = 777;
-        harness::expectPolicyInvariantDraws(*wl, cfg, {0, 1, 2, 3});
+        harness::expectPolicyInvariantDraws(*wl, cfg);
     }
 }
 

@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "samplers/runner.hpp"
 #include "support/thread_pool.hpp"
-#include "workloads/suite.hpp"
 
 namespace bayes::obs {
 namespace {
@@ -538,57 +536,6 @@ TEST(Tracer, TraceJsonIsValidTraceEventFormat)
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected;
-}
-
-TEST(Metrics, SpeculationAccountingInvariant)
-{
-    // Every speculative lane the prefetch ledgers issue must be
-    // resolved exactly once — committed (hit) or aborted unconsumed
-    // (wasted) — by the end of the run, including lanes in flight when
-    // the run stops. MH at depth 2 predicts the next proposal from a
-    // replica RNG stream, so a seeded pooled run both hits (the
-    // realized branch is always one of the cached children) and
-    // wastes (the other branches).
-    Registry::global().reset();
-    const auto wl = workloads::makeWorkload("ad", 0.1);
-    samplers::Config cfg;
-    cfg.algorithm = samplers::Algorithm::Mh;
-    cfg.chains = 3;
-    cfg.iterations = 40;
-    cfg.warmup = 20;
-    cfg.seed = 777;
-    cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 2;
-    samplers::run(*wl, cfg);
-
-    const auto issued = Registry::global().counter("spec.issued").value();
-    const auto hits = Registry::global().counter("spec.hits").value();
-    const auto wasted = Registry::global().counter("spec.wasted").value();
-    EXPECT_GT(issued, 0u);
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(wasted, 0u);
-    EXPECT_EQ(hits + wasted, issued);
-}
-
-TEST(Metrics, SpeculationDepthZeroEmitsNothing)
-{
-    Registry::global().reset();
-    const auto wl = workloads::makeWorkload("ad", 0.1);
-    samplers::Config cfg;
-    cfg.algorithm = samplers::Algorithm::Mh;
-    cfg.chains = 3;
-    cfg.iterations = 40;
-    cfg.warmup = 20;
-    cfg.seed = 777;
-    cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 0;
-    samplers::run(*wl, cfg);
-
-    EXPECT_EQ(Registry::global().counter("spec.issued").value(), 0u);
-    EXPECT_EQ(Registry::global().counter("spec.hits").value(), 0u);
-    EXPECT_EQ(Registry::global().counter("spec.wasted").value(), 0u);
 }
 
 TEST(Tracer, StartClearsPreviousCollection)

@@ -300,7 +300,7 @@ TEST(Samplers, PhasedMonitorStopsAtSameRoundUnderEveryPolicy)
     const auto sequential = run(model, cfg, stopAt40);
     for (const auto& chain : sequential.chains)
         EXPECT_EQ(chain.draws.size(), 40u);
-    harness::expectPolicyInvariantDraws(model, cfg, {0}, stopAt40);
+    harness::expectPolicyInvariantDraws(model, cfg, stopAt40);
 }
 
 TEST(Samplers, MonitorExceptionPropagatesFromPhasedExecutor)
@@ -392,8 +392,6 @@ TEST(Samplers, DeadlinePrefixHoldsUnderPooledBatchedExecution)
     auto cfg = baseConfig(Algorithm::Mh, 80);
     cfg.warmup = 40;
     cfg.execution = ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 2;
     const double dt = 0.25;
     const IterationMonitor tick = [&](const MonitorContext&) {
         g_fakeNow.store(g_fakeNow.load() + dt);
@@ -414,8 +412,6 @@ TEST(Samplers, ExecutionModeNames)
 {
     EXPECT_STREQ(executionModeName(ExecutionMode::Sequential),
                  "sequential");
-    EXPECT_STREQ(executionModeName(ExecutionMode::ThreadPerChain),
-                 "thread-per-chain");
     EXPECT_STREQ(executionModeName(ExecutionMode::Pool), "pool");
 }
 

@@ -9,13 +9,16 @@
  *   bayessuite_cli --list
  *   bayessuite_cli <workload> [--algorithm nuts|hmc|mh|slice|advi]
  *       [--chains N] [--iterations N] [--seed S] [--scale F]
- *       [--execution seq|threads|pool[:N]] [--elide]
+ *       [--execution seq|pool[:N]] [--elide]
  *       [--simulate skylake|broadwell] [--cores N] [--dump draws.csv]
  *       [--metrics-out FILE.json] [--trace-out FILE.json]
  */
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 
 #include "archsim/system.hpp"
@@ -59,8 +62,9 @@ usage()
         "workload's)\n"
         "  --seed S                       RNG seed\n"
         "  --scale F                      dataset scale in (0,1]\n"
-        "  --execution seq|threads|pool[:N]  chain execution policy\n"
-        "                                 (pool:N = shared pool, N workers)\n"
+        "  --execution seq|pool[:N]       chain execution policy\n"
+        "                                 (pool:N = shared pool, N workers,\n"
+        "                                 N <= 256)\n"
         "  --elide                        runtime convergence detection\n"
         "  --simulate skylake|broadwell   architecture simulation\n"
         "  --cores N                      simulated cores (default: 4)\n"
@@ -73,9 +77,33 @@ usage()
         "Perfetto)\n");
 }
 
+/** Largest accepted pool:N — each worker is an OS thread. */
+constexpr int kMaxPoolWorkers = 256;
+
+/**
+ * Parse all of @p text as a number in [@p lo, @p hi]; a malformed or
+ * out-of-range value throws Error naming @p what.
+ */
+template <typename T>
+T
+parseNumber(const std::string& what, const std::string& text, T lo, T hi)
+{
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+        std::ostringstream os;
+        os << what << " expects a number in [" << lo << ", " << hi
+           << "], got '" << text << "'";
+        throw Error(os.str());
+    }
+    return value;
+}
+
 bool
 parse(int argc, char** argv, CliOptions& opt)
 {
+    constexpr int kIntMax = std::numeric_limits<int>::max();
     if (argc < 2)
         return false;
     if (std::strcmp(argv[1], "--list") == 0) {
@@ -110,38 +138,35 @@ parse(int argc, char** argv, CliOptions& opt)
             else
                 throw Error("unknown algorithm '" + a + "'");
         } else if (arg == "--chains") {
-            opt.config.chains = std::stoi(next());
+            opt.config.chains = parseNumber(arg, next(), 1, kIntMax);
             opt.chainsSet = true;
         } else if (arg == "--iterations") {
-            opt.config.iterations = std::stoi(next());
+            opt.config.iterations = parseNumber(arg, next(), 1, kIntMax);
             opt.iterationsSet = true;
         } else if (arg == "--seed") {
-            opt.config.seed = std::stoull(next());
+            opt.config.seed = parseNumber(
+                arg, next(), std::uint64_t{0},
+                std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--execution") {
             const std::string e = next();
             if (e == "seq" || e == "sequential")
                 opt.config.execution =
                     samplers::ExecutionPolicy::sequential();
-            else if (e == "threads" || e == "thread-per-chain")
-                opt.config.execution =
-                    samplers::ExecutionPolicy::threadPerChain();
             else if (e == "pool")
                 opt.config.execution = samplers::ExecutionPolicy::pool();
-            else if (e.rfind("pool:", 0) == 0 && e.size() > 5
-                     && e.find_first_not_of("0123456789", 5)
-                            == std::string::npos)
-                opt.config.execution =
-                    samplers::ExecutionPolicy::pool(std::stoi(e.substr(5)));
+            else if (e.rfind("pool:", 0) == 0)
+                opt.config.execution = samplers::ExecutionPolicy::pool(
+                    parseNumber("pool:N", e.substr(5), 0, kMaxPoolWorkers));
             else
                 throw Error("unknown execution policy '" + e + "'");
         } else if (arg == "--scale") {
-            opt.dataScale = std::stod(next());
+            opt.dataScale = parseNumber(arg, next(), 0.0, 1.0);
         } else if (arg == "--elide") {
             opt.elide = true;
         } else if (arg == "--simulate") {
             opt.simulate = next();
         } else if (arg == "--cores") {
-            opt.cores = std::stoi(next());
+            opt.cores = parseNumber(arg, next(), 1, kIntMax);
         } else if (arg == "--dump") {
             opt.dumpPath = next();
         } else if (arg == "--metrics-out") {
